@@ -115,9 +115,15 @@ public:
   }
 
   /// Replays \p Count events in batches of \p BatchEvents, each batch
-  /// stably partitioned by size class (the forEachEventBatched invariance
-  /// argument: per-class order is preserved, so counters and final state
-  /// match the sequential replay bit-for-bit).
+  /// stably partitioned by size class.  The partition is *stable*, so
+  /// within one class the event order is exactly the sequential order.
+  /// Any observable that is (a) a per-class function of its class's
+  /// subsequence or (b) a commutative aggregate across events — every
+  /// Kingsley counter, final heap/live/free-block state, and the
+  /// class-size histogram — is therefore bit-identical to the sequential
+  /// replay.  Trajectories that mix classes at sub-batch granularity
+  /// (live-byte peaks, timeline samples) are not preserved; the caller
+  /// reads the live-byte peak from the file header instead.
   ///
   /// Slot aliasing: the writer recycles slots LIFO, so one batch routinely
   /// holds a free of object A and an alloc of object B on the *same* slot.

@@ -20,11 +20,12 @@
 ///
 ///  * **Batched streamed** (streamSimulateBsdBatched): the Kingsley fast
 ///    path.  Events are processed in batches, stably partitioned by size
-///    class (forEachEventBatched's invariance argument applies unchanged),
-///    the per-class free lists are bitmaps (support/BitmapFreeList.h), and
-///    the live map is a flat slot-indexed array — no hash map on the hot
-///    path.  Counters and exported registry values remain bit-identical to
-///    the sequential BSD replay; live-byte peaks come from the file header.
+///    class (BatchedKingsley::replayBatched gives the invariance
+///    argument), the per-class free lists are bitmaps
+///    (support/BitmapFreeList.h), and the live map is a flat slot-indexed
+///    array — no hash map on the hot path.  Counters and exported
+///    registry values remain bit-identical to the sequential BSD replay;
+///    live-byte peaks come from the file header.
 ///
 ///  * **Sharded** (streamReplayBsdSharded): shards of a *fixed* number of
 ///    chunks replay independently — each worker warms a fresh allocator

@@ -113,35 +113,6 @@ uint64_t replayBaseline(const CompiledTrace &Compiled, AllocatorT &Allocator,
   return Consumer.maxLiveBytes();
 }
 
-/// Batch-grouped BSD replay consumer for forEachEventBatched: routes every
-/// event to its Kingsley size class.  No live-byte peak tracking — the
-/// batch partition permutes the live trajectory, so the caller reads the
-/// schedule's precomputed maxLiveBytes() instead.
-class BatchedBsdConsumer : public ScheduleConsumer<BatchedBsdConsumer> {
-public:
-  BatchedBsdConsumer(BsdAllocator &Allocator, const AllocationTrace &Trace)
-      : Allocator(Allocator), Records(Trace.records().data()) {
-    Addresses.resize(Trace.size());
-  }
-
-  uint32_t routeCount() const { return 40; }
-  uint32_t routeOf(uint32_t Tagged) const {
-    return Allocator.bucketFor(
-        Records[Tagged & ~EventSchedule::FreeBit].Size);
-  }
-
-  void onAlloc(uint32_t Id, uint64_t) {
-    Addresses[Id] = Allocator.allocate(Records[Id].Size);
-  }
-
-  void onFree(uint32_t Id, uint64_t) { Allocator.free(Addresses[Id]); }
-
-private:
-  BsdAllocator &Allocator;
-  const AllocRecord *Records;
-  std::vector<uint64_t> Addresses;
-};
-
 /// Uninstrumented arena replay: the predicted-short verdict is one bit
 /// load, the allocate/free calls are non-virtual, nothing else happens.
 /// Templated over the bits provider so the static lane
@@ -361,34 +332,6 @@ BaselineSimResult lifepred::simulateBsd(const AllocationTrace &Trace,
                                         BsdAllocator::Config Config,
                                         SimTelemetry *Telemetry) {
   return simulateBsd(CompiledTrace(Trace), Costs, Config, Telemetry);
-}
-
-BaselineSimResult lifepred::simulateBsdBatched(const CompiledTrace &Compiled,
-                                               const CostModel &Costs,
-                                               BsdAllocator::Config Config,
-                                               size_t BatchEvents,
-                                               SimTelemetry *Telemetry) {
-  BsdAllocator Allocator(Config);
-  if (Telemetry && Telemetry->Registry)
-    Allocator.attachTelemetry(*Telemetry->Registry, "bsd.");
-  BatchedBsdConsumer Consumer(Allocator, Compiled.trace());
-  forEachEventBatched(Compiled.schedule(), Consumer, BatchEvents);
-  // Batched replay permutes the event order inside a batch, so mid-replay
-  // heap states are not comparable to the sequential path; the observatory
-  // samples the (placement-consistent) end state once instead.
-  observeSample(Telemetry, Compiled.schedule().endClock(), Allocator,
-                /*ArenaBytes=*/0);
-  if (Telemetry && Telemetry->Registry) {
-    Allocator.exportTelemetry(*Telemetry->Registry, "bsd.");
-    exportObservatory(Telemetry, "bsd.");
-  }
-
-  BaselineSimResult Result;
-  Result.MaxHeapBytes = Allocator.maxHeapBytes();
-  Result.MaxLiveBytes = Compiled.schedule().maxLiveBytes();
-  Result.Bsd = Allocator.counters();
-  Result.Instr = Costs.bsd(Allocator.counters());
-  return Result;
 }
 
 ArenaSimResult lifepred::simulateArena(const CompiledTrace &Compiled,

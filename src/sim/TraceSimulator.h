@@ -103,20 +103,6 @@ BaselineSimResult simulateBsd(const AllocationTrace &Trace,
                               BsdAllocator::Config Config = BsdAllocator::Config(),
                               SimTelemetry *Telemetry = nullptr);
 
-/// Batch-grouped BSD replay: events are dispatched through
-/// forEachEventBatched, stably partitioned by size class per batch, so the
-/// allocator works one free list at a time.  Counters, heap trajectory,
-/// and the exported "bsd." registry are bit-identical to simulateBsd (the
-/// partition preserves per-class order and every exported value is either
-/// per-class or a commutative aggregate); MaxLiveBytes is taken from the
-/// schedule's precomputed peak, which equals the sequential observation.
-/// Timeline sampling is not supported on this path — batching permutes
-/// clock order within a batch — so \p Telemetry only feeds the registry.
-BaselineSimResult simulateBsdBatched(
-    const CompiledTrace &Compiled, const CostModel &Costs = {},
-    BsdAllocator::Config Config = BsdAllocator::Config(),
-    size_t BatchEvents = 8192, SimTelemetry *Telemetry = nullptr);
-
 /// Simulates a compiled trace over the lifetime-predicting arena
 /// allocator, with \p DB deciding which allocations are predicted
 /// short-lived.  \p Compiled must carry site keys under DB's policy; the

@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <cmath>
 #include <cstdarg>
 
@@ -86,15 +85,6 @@ void DriftObservatory::recordAlloc(uint64_t BirthClock, uint32_t Site,
     SiteTs.add(Birth, LaneMissedShortBytes, Size);
   }
   ++Objects;
-}
-
-void DriftObservatory::merge(const DriftObservatory &Other) {
-  assert(Cfg == Other.Cfg && Width == Other.Width &&
-         "merging observatories of different geometry");
-  Objects += Other.Objects;
-  Global.merge(Other.Global);
-  for (const auto &[Site, Ts] : Other.Sites)
-    siteSeries(Site).merge(Ts);
 }
 
 bool DriftObservatory::operator==(const DriftObservatory &Other) const {
@@ -248,18 +238,9 @@ DriftReport lifepred::buildDriftReport(const DriftObservatory &Obs,
         S.Objects = Hist->count();
         S.ObsQ50 = Hist->quantileLowerBound(0.50);
         S.TrainQ50 = Q.Q50;
-        double Score = 0.0;
-        auto Fold = [&Score](uint64_t ObsQ, double TrainQ) {
-          if (TrainQ < 0)
-            return;
-          Score = std::max(
-              Score, std::fabs(std::log2((1.0 + static_cast<double>(ObsQ)) /
-                                         (1.0 + TrainQ))));
-        };
-        Fold(Hist->quantileLowerBound(0.25), Q.Q25);
-        Fold(S.ObsQ50, Q.Q50);
-        Fold(Hist->quantileLowerBound(0.75), Q.Q75);
-        S.Score = Score;
+        S.Score = quantileDriftScore(Hist->quantileLowerBound(0.25),
+                                     S.ObsQ50,
+                                     Hist->quantileLowerBound(0.75), Q);
         Scored.push_back(S);
         ++R.ScoredSiteWindows;
       }

@@ -27,8 +27,8 @@
 /// per-window accuracy with CUSUM change-point flags and per-site
 /// observed-vs-trained quantile divergence — the FlightRecorder audit's
 /// drift score, time-resolved.  Everything is a commutative sum over
-/// allocation outcomes, so sharded replays merge window-wise into the
-/// same bytes at any job count.
+/// allocation outcomes, so the observatory does not depend on the order
+/// the replay delivers them in.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -106,11 +106,6 @@ public:
   void recordAlloc(uint64_t BirthClock, uint32_t Site, uint32_t Size,
                    bool PredictedShort, uint64_t Lifetime,
                    bool ActuallyShort);
-
-  /// Window-wise accumulation of \p Other (same DriftConfig required).
-  /// Commutative and associative, so shard merges in index order equal a
-  /// sequential fill.
-  void merge(const DriftObservatory &Other);
 
   const TimeSeries &global() const { return Global; }
   /// Per-site series, key-sorted for deterministic iteration.

@@ -59,8 +59,13 @@ void HeapHeatmap::addSpan(uint64_t Address, uint64_t Bytes) {
 void HeapHeatmap::endColumn() {
   assert(InColumn && "endColumn without beginColumn");
   InColumn = false;
-  // Next boundary strictly after the sampled column.
-  NextClock = (uint64_t(CurColumn) + 1) * Cfg.ClockStride;
+  // Next boundary strictly after the sampled column.  Once the last column
+  // is sampled there is no further column to open: a clamped boundary
+  // would lie in the past, and every later event would re-walk the heap
+  // into the last column.
+  NextClock = uint64_t(CurColumn) + 1 < Cfg.MaxColumns
+                  ? (uint64_t(CurColumn) + 1) * Cfg.ClockStride
+                  : UINT64_MAX;
 }
 
 void HeapHeatmap::merge(const HeapHeatmap &Other) {

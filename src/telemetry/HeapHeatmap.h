@@ -47,7 +47,8 @@ public:
     /// Hard cap on distinct rows; spans in further windows are dropped and
     /// accounted in clippedBytes() rather than growing without bound.
     uint64_t MaxRows = 4096;
-    /// Hard cap on columns; later samples fold into the last column.
+    /// Hard cap on columns.  A sample past the cap folds into the last
+    /// column, and once the last column is sampled due() stays false.
     uint64_t MaxColumns = 512;
   };
 

@@ -48,6 +48,14 @@ struct TrainedSiteQuantiles {
 /// Keyed by the recorder's site id (trace chain index).
 using TrainedQuantileMap = std::unordered_map<uint32_t, TrainedSiteQuantiles>;
 
+/// The per-site quantile drift score shared by the audit and the drift
+/// observatory: max over {p25, p50, p75} of
+/// |log2((1 + observed) / (1 + trained))|, in binary orders of magnitude.
+/// A negative trained quantile marks a quantile unseen in training and is
+/// left out of the max (the score is 0 when all three are).
+double quantileDriftScore(uint64_t ObsQ25, uint64_t ObsQ50, uint64_t ObsQ75,
+                          const TrainedSiteQuantiles &Trained);
+
 /// One row of the misprediction forensics table.
 struct SiteAuditRow {
   uint32_t Site = 0;

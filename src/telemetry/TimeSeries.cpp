@@ -88,30 +88,6 @@ const Log2Histogram *TimeSeries::histogram(uint64_t Window,
   return Histograms[(Window - Base) * Cfg.HistogramLanes + Lane].get();
 }
 
-void TimeSeries::merge(const TimeSeries &Other) {
-  assert(Cfg == Other.Cfg && "merging series of different geometry");
-  if (Other.Retained == 0)
-    return;
-  extendToWindow(Other.Base + Other.Retained - 1);
-  for (uint64_t W = Other.Base; W < Other.Base + Other.Retained; ++W) {
-    for (unsigned Lane = 0; Lane < Cfg.CounterLanes; ++Lane) {
-      uint64_t Delta =
-          Other.Counters[(W - Other.Base) * Cfg.CounterLanes + Lane];
-      if (Delta != 0)
-        addWindow(W, Lane, Delta);
-    }
-    for (unsigned Lane = 0; Lane < Cfg.HistogramLanes; ++Lane) {
-      const Log2Histogram *Hist =
-          Other.Histograms[(W - Other.Base) * Cfg.HistogramLanes + Lane]
-              .get();
-      if (Hist && Hist->count() != 0 && W >= Base)
-        histogramSlot(W, Lane).merge(*Hist);
-    }
-  }
-  LateDrops += Other.LateDrops;
-  Dropped = std::max(Dropped, Other.Dropped);
-}
-
 bool TimeSeries::operator==(const TimeSeries &Other) const {
   if (Cfg != Other.Cfg || Base != Other.Base || Retained != Other.Retained ||
       Counters != Other.Counters)

@@ -45,23 +45,16 @@ EventSchedule::EventSchedule(const AllocationTrace &Trace) {
   Clocks.reserve(Records.size() + Deaths.size());
   size_t NextDeath = 0;
   Clock = 0;
-  uint64_t LiveBytes = 0;
   for (uint32_t Id = 0; Id < Records.size(); ++Id) {
     uint64_t NewClock = Clock + Records[Id].Size;
     while (NextDeath < Deaths.size() && Deaths[NextDeath].first < NewClock) {
       TaggedIds.push_back(Deaths[NextDeath].second | FreeBit);
       Clocks.push_back(Deaths[NextDeath].first);
-      LiveBytes -= Records[Deaths[NextDeath].second].Size;
       ++NextDeath;
     }
     Clock = NewClock;
     TaggedIds.push_back(Id);
     Clocks.push_back(Clock);
-    // Live bytes only grow at allocations, so sampling here captures the
-    // exact peak a sequential replay consumer would observe.
-    LiveBytes += Records[Id].Size;
-    if (LiveBytes > MaxLiveBytes)
-      MaxLiveBytes = LiveBytes;
   }
   TotalAllocBytes = Clock;
   // Deaths scheduled past the last allocation.

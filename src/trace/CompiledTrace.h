@@ -50,7 +50,6 @@
 #include "callchain/SiteKey.h"
 #include "trace/AllocationTrace.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -80,14 +79,6 @@ public:
   /// The byte clock after the last allocation (replayTrace's onEnd value).
   uint64_t endClock() const { return EndClock; }
 
-  /// Peak live payload bytes over the event stream.  Precomputed during
-  /// compilation because it is a pure function of the schedule (allocator-
-  /// independent): a sequential consumer sampling liveBytes() after every
-  /// allocation observes exactly this peak (live bytes only grow at
-  /// allocations), while a *batched* consumer permutes events within a
-  /// batch and cannot recover it — it reads the value from here instead.
-  uint64_t maxLiveBytes() const { return MaxLiveBytes; }
-
   /// Sum of all allocation payload sizes (equals endClock()).
   uint64_t totalAllocBytes() const { return TotalAllocBytes; }
 
@@ -109,7 +100,6 @@ private:
   std::vector<uint32_t> TaggedIds;
   std::vector<uint64_t> Clocks;
   uint64_t EndClock = 0;
-  uint64_t MaxLiveBytes = 0;
   uint64_t TotalAllocBytes = 0;
 };
 
@@ -182,60 +172,6 @@ inline void forEachEvent(const EventSchedule &Schedule, ConsumerT &&Consumer) {
       Consumer.onFree(Tagged & ~EventSchedule::FreeBit, Clocks[Event]);
     else
       Consumer.onAlloc(Tagged, Clocks[Event]);
-  }
-  Consumer.onEnd(Schedule.endClock());
-}
-
-/// Batch-grouped replay: events are consumed in fixed-size batches, each
-/// batch stably partitioned by the consumer's route (size class / arena
-/// lane) before dispatch, so the per-event work runs route-by-route with
-/// hot free-list state instead of ping-ponging between classes.
-///
-/// Consumer protocol: routeCount() gives the number of routes R;
-/// routeOf(Tagged) maps a tagged event id to [0, R); onAlloc/onFree/onEnd
-/// are as in forEachEvent.  The partition is *stable*, so within one route
-/// the event order is exactly the sequential order.  Any observable that
-/// is (a) a per-route function of its route's subsequence or (b) a
-/// commutative aggregate across events — every Kingsley counter, final
-/// heap/live/free-block state, and the class-size histogram — is therefore
-/// bit-identical to forEachEvent's result.  Trajectories that mix routes
-/// at sub-batch granularity (live-byte peaks, timeline samples) are NOT
-/// preserved; batched consumers read EventSchedule::maxLiveBytes() instead.
-template <typename ConsumerT>
-inline void forEachEventBatched(const EventSchedule &Schedule,
-                                ConsumerT &&Consumer,
-                                size_t BatchEvents = 8192) {
-  const uint32_t *Ids = Schedule.taggedIds();
-  const uint64_t *Clocks = Schedule.clocks();
-  const size_t Count = Schedule.size();
-  const uint32_t Routes = Consumer.routeCount();
-  if (BatchEvents == 0)
-    BatchEvents = 1;
-
-  std::vector<uint32_t> RouteOf(BatchEvents);
-  std::vector<uint32_t> Offsets(Routes + 1);
-  std::vector<uint32_t> Order(BatchEvents);
-
-  for (size_t Begin = 0; Begin < Count; Begin += BatchEvents) {
-    const size_t Batch = std::min(BatchEvents, Count - Begin);
-    // Stable counting sort of the batch by route.
-    std::fill(Offsets.begin(), Offsets.end(), 0u);
-    for (size_t I = 0; I < Batch; ++I) {
-      RouteOf[I] = Consumer.routeOf(Ids[Begin + I]);
-      ++Offsets[RouteOf[I] + 1];
-    }
-    for (uint32_t Route = 0; Route < Routes; ++Route)
-      Offsets[Route + 1] += Offsets[Route];
-    for (size_t I = 0; I < Batch; ++I)
-      Order[Offsets[RouteOf[I]]++] = static_cast<uint32_t>(I);
-    for (size_t I = 0; I < Batch; ++I) {
-      size_t Event = Begin + Order[I];
-      uint32_t Tagged = Ids[Event];
-      if (Tagged & EventSchedule::FreeBit)
-        Consumer.onFree(Tagged & ~EventSchedule::FreeBit, Clocks[Event]);
-      else
-        Consumer.onAlloc(Tagged, Clocks[Event]);
-    }
   }
   Consumer.onEnd(Schedule.endClock());
 }

@@ -3,16 +3,17 @@
 // Part of the lifepred project (Barrett & Zorn, PLDI 1993 reproduction).
 //
 // Covers the heap observatory: FragmentationProbe arithmetic and golden
-// JSON, HeapHeatmap cell placement / merge / clipping and golden JSON, a
-// hand-built ten-op trace replayed through first fit with hand-computed
-// expectations, jobs-invariance of every non-timing observatory key
-// (thread pools of 1, 2, and 8 produce byte-identical filtered registry
-// output), streamed-vs-in-memory probe equality, the LatencyRecorder
-// sampling schedule and its timing-key classification, and the
-// perf-trajectory ledger round trip.
+// JSON, HeapHeatmap cell placement / merge / clipping / column cap and
+// golden JSON, a hand-built ten-op trace replayed through first fit with
+// hand-computed expectations, jobs-invariance of every non-timing
+// observatory key (thread pools of 1, 2, and 8 produce byte-identical
+// filtered registry output), streamed-vs-in-memory probe equality, the
+// LatencyRecorder sampling schedule and its timing-key classification,
+// and the perf-trajectory ledger round trip.
 //
 //===----------------------------------------------------------------------===//
 
+#include "alloc/AllocatorSim.h"
 #include "core/Pipeline.h"
 #include "sim/SimTelemetry.h"
 #include "sim/StreamReplay.h"
@@ -308,6 +309,54 @@ TEST(HeapHeatmapTest, ColumnCapFoldsIntoLast) {
   Map.endColumn();
   EXPECT_LE(Map.columnCount(), 4u);
   EXPECT_EQ(Map.cellBytes(0, 39), 9u); // Column 3 covers clock [30, 40).
+}
+
+namespace {
+
+/// A heap holding one live span of LiveBytes at address 0, counting the
+/// live-span walks the observatory makes over it.
+class SpanCountingHeap : public AllocatorSim {
+public:
+  uint64_t allocate(uint32_t) override { return 0; }
+  void free(uint64_t) override {}
+  uint64_t heapBytes() const override { return LiveBytes; }
+  uint64_t maxHeapBytes() const override { return LiveBytes; }
+  uint64_t liveBytes() const override { return LiveBytes; }
+  void forEachLiveSpan(const SpanVisitor &Visit) const override {
+    ++Walks;
+    Visit(0, LiveBytes);
+  }
+
+  uint64_t LiveBytes = 0;
+  mutable uint64_t Walks = 0;
+};
+
+} // namespace
+
+TEST(HeapHeatmapTest, NoSamplesPastTheLastColumn) {
+  HeapHeatmap::Config Config;
+  Config.BytesPerRow = 1024; // One row holds every span below.
+  Config.ClockStride = 10;
+  Config.MaxColumns = 4;
+  HeapHeatmap Map(Config);
+  SimTelemetry Telemetry;
+  Telemetry.Heatmap = &Map;
+  SpanCountingHeap Heap;
+  // One event per clock tick through clock 99: ten strides against a
+  // four-column cap.  Live bytes at clock C are C + 1.
+  for (uint64_t Clock = 0; Clock < 100; ++Clock) {
+    Heap.LiveBytes = Clock + 1;
+    observeSample(&Telemetry, Clock, Heap, /*ArenaBytes=*/0);
+  }
+  // Columns open at clocks 0, 10, 20 and 30; nothing is due after that.
+  EXPECT_LE(Heap.Walks, Config.MaxColumns + 1);
+  EXPECT_FALSE(Map.due(99));
+  EXPECT_EQ(Map.columnCount(), 4u);
+  EXPECT_EQ(Map.cellBytes(0, 0), 1u);
+  EXPECT_EQ(Map.cellBytes(0, 20), 21u);
+  // The last column holds the single sample at clock 30 (31 live bytes);
+  // re-sampling it at every event from clock 40 on would add 4230 more.
+  EXPECT_EQ(Map.cellBytes(0, 30), 31u);
 }
 
 TEST(HeapHeatmapTest, GoldenJson) {
